@@ -72,6 +72,8 @@ BATCH_COUNTER_NAMES = (
     "batch.failures",
     "batch.trace.captures",
     "batch.trace.replays",
+    "batch.input.builds",
+    "batch.input.reuses",
 )
 
 

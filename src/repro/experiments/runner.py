@@ -20,6 +20,7 @@ from ..perf.trace import (
 )
 from ..techniques import make_technique
 from ..workloads import build_workload
+from ..workloads.gap import input_memo_info
 from .cache import BATCH_COUNTERS, active_cache
 from .spec import RunSpec
 
@@ -157,7 +158,13 @@ def _run_resolved(
         kwargs["seed"] = spec.seed
     if spec.input_name is not None:
         kwargs["input_name"] = spec.input_name
+    memo_hits = input_memo_info().hits
     wl = build_workload(spec.workload, **kwargs)
+    BATCH_COUNTERS.inc(
+        "batch.input.reuses"
+        if input_memo_info().hits > memo_hits
+        else "batch.input.builds"
+    )
     program = wl.program
     if spec.technique == SOFTWARE_PREFETCH:
         # A compiler transformation, not a hardware technique: insert

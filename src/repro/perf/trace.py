@@ -47,6 +47,7 @@ from ..core.dyninstr import DynInstr
 from ..errors import SimulationError
 from ..isa.predecode import K_STORE, decode_program
 from ..isa.program import Program
+from ..workloads.gap import clear_input_memo
 
 #: Version tag written into every trace file; bump on layout changes.
 TRACE_SCHEMA = "repro.arch-trace/1"
@@ -292,8 +293,13 @@ def _memo_put(key: str, trace: ArchTrace) -> None:
 
 
 def clear_trace_memo() -> None:
-    """Drop every memoised trace (tests and long-lived processes)."""
+    """Drop every memoised trace and graph input (tests, cold benchmarks).
+
+    The next run re-derives its workload input and captures its stream
+    (or loads it from an installed trace store), as in a fresh process.
+    """
     _MEMO.clear()
+    clear_input_memo()
 
 
 # -- disk persistence ---------------------------------------------------------

@@ -16,39 +16,83 @@ reference implementation, hand-lowered to our ISA over CSR graphs:
   edge weights.
 
 Frontier-based kernels start from the widest BFS level of the input so
-the simulated region is a realistic mid-traversal snapshot.
+the simulated region is a realistic mid-traversal snapshot. A process
+derives each (profile, size, seed) input once (:func:`graph_input`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from functools import lru_cache
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
 from ..isa.program import ProgramBuilder
 from ..memory.memory_image import MemoryImage
 from .base import Workload
-from .graphs import Graph, add_weights, bfs_frontier, make_graph
+from .graphs import (
+    Graph,
+    add_weights,
+    bfs_frontier,
+    make_graph,
+    rmat_graph,
+    uniform_random_graph,
+)
 
 _DEFAULT_INPUT = "KR"
 
+#: In-process input memo capacity (distinct (profile, size, seed) inputs).
+_INPUT_MEMO_CAPACITY = 8
 
-def _graph_for(input_name: Optional[str], size: str, seed: Optional[int] = None) -> Graph:
-    profile = input_name or _DEFAULT_INPUT
+
+class GraphInput(NamedTuple):
+    """A derived kernel input: the graph and its widest BFS level."""
+
+    graph: Graph
+    frontier: np.ndarray
+    depth: np.ndarray
+
+
+@lru_cache(maxsize=_INPUT_MEMO_CAPACITY)
+def _derive_input(profile: str, size: str, seed: Optional[int]) -> GraphInput:
     if size == "tiny":
         # A small but well-connected stand-in (truncating a large graph
         # would leave a near-empty BFS frontier).
-        from .graphs import rmat_graph, uniform_random_graph
-
         tiny_seed = seed if seed is not None else sum(map(ord, profile))
-        if profile == "UR":
-            graph = uniform_random_graph(1 << 10, 8, seed=tiny_seed)
-        else:
-            graph = rmat_graph(1 << 10, 8, seed=tiny_seed)
+        generator = uniform_random_graph if profile == "UR" else rmat_graph
+        graph = generator(1 << 10, 8, seed=tiny_seed)
         graph.name = profile
         graph.validate()
-        return graph
-    return make_graph(profile, seed=seed)
+    else:
+        graph = make_graph(profile, seed=seed)
+    frontier, depth = bfs_frontier(graph)
+    for array in (graph.row_offsets, graph.col_indices, frontier, depth):
+        array.flags.writeable = False
+    return GraphInput(graph, frontier, depth)
+
+
+def graph_input(
+    input_name: Optional[str], size: str, seed: Optional[int] = None
+) -> GraphInput:
+    """The (memoised) input of a graph kernel build.
+
+    Every build with the same normalised (profile, size, seed) shares
+    one entry, so its arrays are read-only; builders copy them into a
+    fresh ``MemoryImage`` (``allocate`` copies), which keeps runs
+    isolated from each other.
+    """
+    size = "tiny" if size == "tiny" else "default"
+    return _derive_input(input_name or _DEFAULT_INPUT, size, seed)
+
+
+def clear_input_memo() -> None:
+    """Drop every memoised graph input."""
+    _derive_input.cache_clear()
+
+
+def input_memo_info():
+    """``functools`` cache statistics (hits, misses, maxsize, currsize)."""
+    return _derive_input.cache_info()
 
 
 def _load_graph_csr(mem: MemoryImage, graph: Graph):
@@ -64,8 +108,7 @@ def _emit_indexed_load(b: ProgramBuilder, dst: str, base: str, idx: str, tmp: st
 
 
 def build_bfs(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = _graph_for(input_name, size, seed)
-    frontier, depth = bfs_frontier(graph)
+    graph, frontier, depth = graph_input(input_name, size, seed)
     level = int(depth[frontier[0]]) if len(frontier) else 0
     visited = (depth >= 0) & (depth <= level)
 
@@ -126,8 +169,7 @@ def build_bfs(input_name: Optional[str] = None, size: str = "default", seed: Opt
 
 
 def build_graph500(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = _graph_for(input_name or "KR", size, seed)
-    frontier, depth = bfs_frontier(graph)
+    graph, frontier, depth = graph_input(input_name, size, seed)
     level = int(depth[frontier[0]]) if len(frontier) else 0
     parent = np.where((depth >= 0) & (depth <= level), np.int64(1), np.int64(-1))
 
@@ -189,8 +231,7 @@ def build_graph500(input_name: Optional[str] = None, size: str = "default", seed
 
 
 def build_bc(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = _graph_for(input_name, size, seed)
-    frontier, depth = bfs_frontier(graph)
+    graph, frontier, depth = graph_input(input_name, size, seed)
     level = int(depth[frontier[0]]) if len(frontier) else 0
     rng = np.random.default_rng(31)
     sigma = rng.integers(1, 16, graph.num_nodes)
@@ -252,7 +293,7 @@ def build_bc(input_name: Optional[str] = None, size: str = "default", seed: Opti
 
 
 def build_cc(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = _graph_for(input_name, size, seed)
+    graph = graph_input(input_name, size, seed).graph
     comp = np.arange(graph.num_nodes, dtype=np.int64)
 
     mem = MemoryImage()
@@ -303,7 +344,7 @@ def build_cc(input_name: Optional[str] = None, size: str = "default", seed: Opti
 
 
 def build_pr(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = _graph_for(input_name, size, seed)
+    graph = graph_input(input_name, size, seed).graph
     degrees = np.maximum(1, graph.degrees())
     rng = np.random.default_rng(33)
     rank = rng.random(graph.num_nodes)
@@ -356,8 +397,8 @@ def build_pr(input_name: Optional[str] = None, size: str = "default", seed: Opti
 
 
 def build_sssp(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = add_weights(_graph_for(input_name, size, seed))
-    frontier, depth = bfs_frontier(graph)
+    graph, frontier, depth = graph_input(input_name, size, seed)
+    graph = add_weights(graph)
     dist = np.where(depth >= 0, depth * 32, np.int64(1 << 40))
 
     mem = MemoryImage()

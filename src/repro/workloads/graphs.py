@@ -13,7 +13,7 @@ scaled cache hierarchy (DESIGN.md, "Substitutions"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -101,9 +101,14 @@ def rmat_graph(
 
 
 def add_weights(graph: Graph, seed: int = 7, max_weight: int = 64) -> Graph:
+    """A new ``Graph`` sharing ``graph``'s CSR arrays, plus random edge weights.
+
+    ``graph`` itself is left untouched (it may be a shared, memoised input).
+    """
     rng = np.random.default_rng(seed)
-    graph.weights = rng.integers(1, max_weight, graph.num_edges, dtype=np.int64)
-    return graph
+    return replace(
+        graph, weights=rng.integers(1, max_weight, graph.num_edges, dtype=np.int64)
+    )
 
 
 def bfs_frontier(graph: Graph, source: int = 0) -> Tuple[np.ndarray, np.ndarray]:
@@ -111,7 +116,13 @@ def bfs_frontier(graph: Graph, source: int = 0) -> Tuple[np.ndarray, np.ndarray]
 
     The GAP kernels operate on a frontier worklist; using the widest BFS
     level gives a realistic mid-traversal snapshot.
+
+    Level-synchronous and vectorised, but with the discovery order of a
+    sequential queue BFS: each level's neighbours are gathered in CSR
+    order, and an undiscovered vertex joins the next level at its first
+    occurrence there.
     """
+    row, col = graph.row_offsets, graph.col_indices
     depth = np.full(graph.num_nodes, -1, dtype=np.int64)
     depth[source] = 0
     frontier = np.array([source], dtype=np.int64)
@@ -120,14 +131,15 @@ def bfs_frontier(graph: Graph, source: int = 0) -> Tuple[np.ndarray, np.ndarray]
     while len(frontier):
         if len(frontier) > len(best):
             best = frontier
-        next_nodes = []
-        for u in frontier:
-            s, e = graph.row_offsets[u], graph.row_offsets[u + 1]
-            for v in graph.col_indices[s:e]:
-                if depth[v] < 0:
-                    depth[v] = level + 1
-                    next_nodes.append(v)
-        frontier = np.array(next_nodes, dtype=np.int64)
+        starts = row[frontier]
+        lengths = row[frontier + 1] - starts
+        # Edge positions of every frontier vertex, concatenated in order.
+        run_starts = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        neighbours = col[run_starts + np.arange(run_starts.size, dtype=np.int64)]
+        fresh = neighbours[depth[neighbours] < 0]
+        _, first = np.unique(fresh, return_index=True)
+        frontier = fresh[np.sort(first)]
+        depth[frontier] = level + 1
         level += 1
     return best, depth
 

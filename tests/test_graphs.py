@@ -99,12 +99,64 @@ class TestDegreeDistributionShapes:
         assert not np.array_equal(a.col_indices, b.col_indices)
 
 
+def _bfs_frontier_loop(graph, source=0):
+    """The original per-edge BFS: the oracle for the vectorised walk."""
+    depth = np.full(graph.num_nodes, -1, dtype=np.int64)
+    depth[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    best = frontier
+    level = 0
+    while len(frontier):
+        if len(frontier) > len(best):
+            best = frontier
+        next_nodes = []
+        for u in frontier:
+            s, e = graph.row_offsets[u], graph.row_offsets[u + 1]
+            for v in graph.col_indices[s:e]:
+                if depth[v] < 0:
+                    depth[v] = level + 1
+                    next_nodes.append(v)
+        frontier = np.array(next_nodes, dtype=np.int64)
+        level += 1
+    return best, depth
+
+
+def _assert_same_bfs(graph):
+    frontier, depth = bfs_frontier(graph)
+    want_frontier, want_depth = _bfs_frontier_loop(graph)
+    assert frontier.dtype == want_frontier.dtype
+    assert depth.dtype == want_depth.dtype
+    assert np.array_equal(frontier, want_frontier)  # same discovery order
+    assert np.array_equal(depth, want_depth)
+
+
 class TestWeightsAndFrontier:
     def test_add_weights(self):
         graph = add_weights(uniform_random_graph(256, 4, seed=2))
         assert graph.weights is not None
         assert len(graph.weights) == graph.num_edges
         assert graph.weights.min() >= 1
+
+    def test_add_weights_leaves_its_argument_alone(self):
+        graph = uniform_random_graph(256, 4, seed=2)
+        weighted = add_weights(graph)
+        assert graph.weights is None
+        assert weighted is not graph
+        assert weighted.col_indices is graph.col_indices
+
+    # Seeds 0, 1 and 7 leave vertex 0 isolated on some profiles: the
+    # frontier is then the source alone.
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 7])
+    @pytest.mark.parametrize("profile", sorted(GRAPH_PROFILES))
+    def test_vectorised_frontier_matches_loop_on_profiles(self, profile, seed):
+        _assert_same_bfs(make_graph(profile, seed=seed))
+
+    @pytest.mark.parametrize("generator", [rmat_graph, uniform_random_graph])
+    def test_vectorised_frontier_matches_loop_on_tiny_graphs(self, generator):
+        for n_log in (1, 4, 6, 10):
+            for degree in (1, 3, 8):
+                for seed in (0, 1, 5):
+                    _assert_same_bfs(generator(1 << n_log, degree, seed))
 
     def test_bfs_depths_match_networkx(self):
         graph = uniform_random_graph(128, 4, seed=11)

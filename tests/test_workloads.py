@@ -10,6 +10,8 @@ import pytest
 
 from repro.core import FunctionalCore, OoOCore
 from repro.errors import WorkloadError
+from repro.experiments import run_simulation
+from repro.experiments.cache import BATCH_COUNTERS, reset_batch_counters
 from repro.isa.semantics import hash64
 from repro.workloads import (
     GAP_WORKLOADS,
@@ -17,6 +19,8 @@ from repro.workloads import (
     WORKLOAD_NAMES,
     build_workload,
 )
+from repro.perf.trace import clear_trace_memo
+from repro.workloads.gap import graph_input, input_memo_info
 
 from conftest import quick_config
 
@@ -202,3 +206,78 @@ class TestWorkloadShapes:
         wl = build_workload("bfs")
         assert wl.meta["nodes"] > 0 and wl.meta["edges"] > 0
         assert wl.meta["frontier"] > 0
+
+
+GRAPH_KERNELS = sorted(GAP_WORKLOADS + ["graph500"])
+
+
+def _segments(wl):
+    return [
+        (seg.name, seg.base, seg.data.dtype, seg.data.tobytes())
+        for seg in wl.memory.segments()
+    ]
+
+
+class TestInputMemo:
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        clear_trace_memo()
+        yield
+        clear_trace_memo()
+
+    def test_all_graph_kernels_share_one_entry(self):
+        for name in GRAPH_KERNELS:
+            build_workload(name, size="tiny")
+        build_workload("graph500", input_name="KR", size="tiny")
+        info = input_memo_info()
+        assert (info.misses, info.hits) == (1, len(GRAPH_KERNELS))
+
+    def test_key_separates_profile_size_and_seed(self):
+        build_workload("bfs", size="tiny")
+        build_workload("bfs", input_name="UR", size="tiny")
+        build_workload("bfs", size="tiny", seed=5)
+        build_workload("cc", input_name="UR", size="tiny")
+        info = input_memo_info()
+        assert (info.misses, info.hits) == (3, 1)
+
+    @pytest.mark.parametrize("name", GRAPH_KERNELS)
+    def test_memo_hit_build_matches_cold_build(self, name):
+        build_workload(name, size="tiny")
+        hit = build_workload(name, size="tiny")
+        assert input_memo_info().hits >= 1
+        clear_trace_memo()
+        cold = build_workload(name, size="tiny")
+        assert input_memo_info().hits == 0
+        assert _segments(hit) == _segments(cold)
+        assert hit.program.instructions == cold.program.instructions
+        assert hit.meta == cold.meta
+
+    def test_memoised_arrays_are_read_only(self):
+        graph, frontier, depth = graph_input(None, "tiny")
+        for array in (graph.row_offsets, graph.col_indices, frontier, depth):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_sssp_build_leaves_memoised_graph_unweighted(self):
+        wl = build_workload("sssp", size="tiny")
+        assert graph_input(None, "tiny").graph.weights is None
+        assert len(wl.memory.segment("WEIGHT").data) == wl.meta["edges"]
+
+    def test_stores_do_not_leak_between_builds(self):
+        first = build_workload("bfs", size="tiny")
+        second = build_workload("bfs", size="tiny")
+        col = first.memory.segment("COL")
+        original = int(col.data[0])
+        first.memory.write_word(col.base, original + 12345)
+        assert first.memory.read_word(col.base) == original + 12345
+        third = build_workload("bfs", size="tiny")
+        for wl in (second, third):
+            assert wl.memory.read_word(wl.memory.segment("COL").base) == original
+        assert graph_input(None, "tiny").graph.col_indices[0] == original
+
+    def test_runner_counts_input_builds_and_reuses(self):
+        reset_batch_counters()
+        for name in ("bfs", "cc", "camel"):
+            run_simulation(name, max_instructions=300, size="tiny")
+        assert BATCH_COUNTERS.get("batch.input.builds") == 2  # bfs, camel
+        assert BATCH_COUNTERS.get("batch.input.reuses") == 1  # cc
