@@ -18,17 +18,18 @@ here and handed to the attached technique, which is how classic
 runahead, PRE and Vector Runahead trigger. Decoupled techniques (DVR)
 instead use the per-commit and ``advance_to`` hooks.
 
-Two kernels implement the model (see docs/performance.md):
+One kernel implements the model, and one specification pins it (see
+docs/performance.md):
 
-* :meth:`OoOCore.run` — the event-driven kernel. Time advances only at
-  instruction-boundary events (the wakeup times implied by DRAM-stall
-  completions, MSHR reclamations, IQ/LQ frees and ROB-head retirement
-  are folded into O(1) constraint maxes), and the hot path carries flat
-  array-of-int pipeline state: no :class:`DynInstr` allocation, no
-  dict-of-string FU lookups, no per-cycle ticking. Runs with a passive
-  technique take a fully specialized path with the functional handlers
-  inlined; technique runs share the same restructured state but keep
-  every hook call.
+* :meth:`OoOCore.run` — the event-driven kernel, taken by every run:
+  the baseline and every technique, behind a live, captured or replayed
+  functional source. Time advances only at instruction-boundary events
+  (the wakeup times implied by DRAM-stall completions, MSHR
+  reclamations, IQ/LQ frees and ROB-head retirement are folded into
+  O(1) constraint maxes), and the pipeline state is flat arrays of
+  ints: no dict-of-string FU lookups, no per-cycle ticking. Every
+  technique hook is called where the reference calls it; the
+  baseline's hooks are no-ops.
 * :meth:`OoOCore.run_reference` — the original loop, kept verbatim as
   the executable specification. The differential suite
   (``tests/test_ooo_event_kernel.py``) pins ``run`` against it —
@@ -340,36 +341,17 @@ class OoOCore:
 
         Produces results bit-identical to :meth:`run_reference` — same
         cycle counts, same counters, same golden trace digests — which
-        the differential suite enforces. Runs whose technique is passive
-        (the plain OoO baseline) and whose functional source is the live
-        interpreter take a specialized flat path with the pre-decoded
-        handlers inlined; everything else shares the general event loop.
+        the differential suite enforces. One kernel serves every run:
+        the baseline and every technique, with a live, captured or
+        replayed functional source. Architectural execution goes
+        through the functional source's ``step()``, and every technique
+        hook is invoked exactly where the reference invokes it.
         """
         if self._ran:
             raise SimulationError("an OoOCore instance can only run once")
         self._ran = True
         limit = max_instructions or self.config.max_instructions
-        functional = self.functional
-        if (
-            getattr(self.technique, "passive", False)
-            and type(functional) is FunctionalCore
-            and functional.program is self.program
-            and self.trace_limit == 0
-        ):
-            return self._run_event_flat(limit)
-        return self._run_event_general(limit)
 
-    def _run_event_flat(self, limit: int) -> SimulationResult:
-        """The specialized kernel: passive technique, inlined handlers.
-
-        All pipeline state is flat arrays of ints; no :class:`DynInstr`
-        is ever allocated, no technique hook is ever called (passivity
-        guarantees every one is a no-op and both blocked-until fields
-        stay 0). Architectural execution happens by calling the per-PC
-        pre-decoded handler directly, and the functional core's public
-        state (``pc``/``executed``/``halted``) is kept consistent even on
-        an exception so audits observe exactly what the reference would.
-        """
         cfg = self.config.core
         width = cfg.width
         fe_depth = cfg.frontend_stages
@@ -391,28 +373,33 @@ class OoOCore:
         rd_of = [-1 if r is None else r for r in decoded.rd]
         rs1_of = [-1 if r is None else r for r in decoded.rs1]
         rs2_of = [-1 if r is None else r for r in decoded.rs2]
-        handlers = decoded.handlers
-        plen = len(handlers)
 
-        functional = self.functional
-        regs = functional.regs
-        memory = functional.memory
+        technique = self.technique
         hierarchy = self.hierarchy
         predictor = self.predictor
         stride_pf = self.l1_stride_prefetcher
+        functional_step = self.functional.step
         mshr_available = hierarchy.mshr_available
         hierarchy_access = hierarchy.access
         demand_load = hierarchy.demand_load
         is_mapped = self.memory_image.is_mapped
         predict = predictor.predict
         predictor_update = predictor.update
+        technique_on_commit = technique.on_commit
+        technique_advance_to = technique.advance_to
+        technique_on_demand_load = technique.on_demand_load
         heappush = heapq.heappush
         heappushpop = heapq.heappushpop
+        trace_limit = self.trace_limit
 
         fetch_ring = [0] * width
         commit_ring = [0] * width
         rob_commit_ring = [0] * rob_size
         rob_miss_ring = [False] * rob_size
+        # The would-be ROB head, for the full-ROB stall hook only; the
+        # reference's (complete, miss, dyn) tuple ring is split into the
+        # flat miss ring above plus this object ring.
+        rob_dyn_ring = [None] * rob_size
         iq_heap: list = []
         lq_heap: list = []
         # Heap sizes tracked as ints: once a queue fills it stays full
@@ -447,340 +434,6 @@ class OoOCore:
         i = 0
         w_slot = 0  # i % width, maintained incrementally
         r_slot = 0  # i % rob_size
-
-        obs = self.observability
-        event_trace = obs.trace if obs is not None else None
-        fire_hooks = obs is not None and obs.has_hooks
-
-        def publish_live(registry: CounterRegistry) -> None:
-            publish_core_counters(
-                registry,
-                cycles=max(1, prev_commit),
-                fetched=i,
-                committed=i,
-                full_stall=full_rob_stall_cycles,
-                episodes=stall_episodes,
-                commit_blocked=commit_block_cycles,
-                predictions=predictor.predictions,
-                mispredictions=predictor.mispredictions,
-                buckets=cpi_buckets,
-            )
-            hierarchy.publish_counters(registry)
-            self.technique.publish_counters(registry)
-
-        pc = functional.pc
-        halted = functional.halted
-        executed_before = functional.executed
-        if halted:
-            limit = 0
-        try:
-            while i < limit:
-                if not 0 <= pc < plen:
-                    raise SimulationError(f"PC out of range: {pc}")
-                value, addr, taken, next_pc = handlers[pc](regs, memory)
-                kind = kinds[pc]
-
-                # ---- fetch ----
-                fetch = next_fetch
-                if i >= width:
-                    prior = fetch_ring[w_slot] + 1
-                    if prior > fetch:
-                        fetch = prior
-                fetch_ring[w_slot] = fetch
-
-                # ---- dispatch (rename + queue allocation) ----
-                dispatch = fetch + fe_depth
-                backend_constraint = 0
-                head_was_miss = False
-                if iq_count >= iq_size and iq_heap[0] > backend_constraint:
-                    backend_constraint = iq_heap[0]
-                if kind == K_LOAD:
-                    if lq_count >= lq_size and lq_heap[0] > backend_constraint:
-                        backend_constraint = lq_heap[0]
-                elif kind == K_STORE and stores_seen >= sq_size:
-                    constraint = sq_ring[stores_seen % sq_size]
-                    if constraint > backend_constraint:
-                        backend_constraint = constraint
-                if i >= rob_size:
-                    rob_constraint = rob_commit_ring[r_slot]
-                    if rob_constraint > backend_constraint:
-                        backend_constraint = rob_constraint
-                    head_was_miss = rob_miss_ring[r_slot]
-                if backend_constraint > dispatch:
-                    # Backend-full stall: the span to the wakeup (oldest
-                    # occupant's leave time) is skipped in O(1), not
-                    # ticked through.
-                    covered_from = (
-                        dispatch if dispatch > stall_covered_until else stall_covered_until
-                    )
-                    if backend_constraint > covered_from:
-                        full_rob_stall_cycles += backend_constraint - covered_from
-                        stall_covered_until = backend_constraint
-                        if (
-                            head_was_miss or last_miss_complete > covered_from
-                        ) and covered_from >= stall_handled_until:
-                            stall_episodes += 1
-                            stall_handled_until = backend_constraint
-                    dispatch = backend_constraint
-
-                # ---- register readiness ----
-                ready = dispatch
-                rs1 = rs1_of[pc]
-                if rs1 >= 0 and reg_ready[rs1] > ready:
-                    ready = reg_ready[rs1]
-                rs2 = rs2_of[pc]
-                if rs2 >= 0 and reg_ready[rs2] > ready:
-                    ready = reg_ready[rs2]
-
-                # ---- issue + execute ----
-                cls = cls_of[pc]
-                busy = fu_busy[cls]
-                capacity = fu_caps[cls]
-                issue = ready
-                count = busy.get(issue, 0)
-                while count >= capacity:
-                    issue += 1
-                    count = busy.get(issue, 0)
-                busy[issue] = count + 1
-                if cls == _CLS_DIV:
-                    # Divides are unpipelined: occupy the unit for the
-                    # full latency.
-                    for extra in range(1, div_latency):
-                        busy[issue + extra] = busy.get(issue + extra, 0) + 1
-
-                was_memory_miss = False
-                if kind == K_ALU:
-                    complete = issue + lat_of[pc]
-                elif kind == K_LOAD:
-                    # The load leaves the IQ at issue; if every MSHR is
-                    # busy it waits in the LSQ for one to free before
-                    # accessing memory (demand_load fuses the MSHR wait
-                    # and the timed access).
-                    mem_start, result = demand_load(addr, issue)
-                    complete = result.ready
-                    level = result.level
-                    if level == LEVEL_DRAM or level == LEVEL_MSHR:
-                        was_memory_miss = True
-                        if complete > last_miss_complete:
-                            last_miss_complete = complete
-                    if stride_pf is not None:
-                        stride_pf.on_demand_load(pc, addr, mem_start, hierarchy)
-                    if lq_count < lq_size:
-                        heappush(lq_heap, complete)
-                        lq_count += 1
-                    else:
-                        heappushpop(lq_heap, complete)
-                elif kind == K_STORE:
-                    hierarchy_access(addr, issue, source="main", write=True)
-                    complete = issue + 1
-                elif kind == K_BNZ or kind == K_BEZ:
-                    complete = issue + 1
-                    predicted = predict(pc)
-                    predictor_update(pc, taken, predicted)
-                    if predicted != taken:
-                        # Redirect: fetch restarts after the branch resolves.
-                        redirect = complete + 1
-                        if redirect > next_fetch:
-                            next_fetch = redirect
-                            last_redirect_cycle = redirect
-                elif kind == K_PREFETCH:
-                    if addr is not None and is_mapped(addr) and mshr_available(issue):
-                        hierarchy_access(addr, issue, source="prefetcher", prefetch=True)
-                    complete = issue + 1
-                else:
-                    # JMP / NOP / HALT
-                    complete = issue + 1
-
-                # ---- in-order commit ----
-                commit_floor = prev_commit
-                commit = complete + 1
-                if prev_commit > commit:
-                    commit = prev_commit
-                if i >= width:
-                    ring_commit = commit_ring[w_slot] + 1
-                    if ring_commit > commit:
-                        commit = ring_commit
-                commit_ring[w_slot] = commit
-                prev_commit = commit
-                if commit != last_commit_value:
-                    commit_cycles += 1
-                    last_commit_value = commit
-                if commit <= complete:
-                    retire_violations += 1
-
-                # ---- CPI-stack attribution ----
-                delta = commit - commit_floor
-                if delta > 0:
-                    if commit == complete + 1:
-                        if kind == K_LOAD:
-                            bucket = _MEM_BUCKETS.get(level, "mem_dram")
-                        elif fetch == last_redirect_cycle:
-                            bucket = "branch"
-                        elif issue > ready:
-                            bucket = "issue_contention"
-                        elif ready > dispatch:
-                            bucket = "dependency"
-                        elif dispatch > fetch + fe_depth:
-                            bucket = "backend_full"
-                        else:
-                            bucket = "frontend"
-                    else:
-                        bucket = "commit_width"
-                    cpi_buckets[bucket] = cpi_buckets.get(bucket, 0) + delta
-
-                # ---- bookkeeping for later occupancy constraints ----
-                rob_commit_ring[r_slot] = commit
-                rob_miss_ring[r_slot] = was_memory_miss
-                if iq_count < iq_size:
-                    heappush(iq_heap, issue)
-                    iq_count += 1
-                else:
-                    heappushpop(iq_heap, issue)
-                if kind == K_STORE:
-                    sq_ring[stores_seen % sq_size] = commit
-                    stores_seen += 1
-                rd = rd_of[pc]
-                if rd >= 0:
-                    reg_ready[rd] = complete
-
-                if event_trace is not None:
-                    opv = op_values[pc]
-                    event_trace.emit(fetch, EV_FETCH, pc, opv)
-                    event_trace.emit(issue, EV_ISSUE, pc, opv)
-                    event_trace.emit(complete, EV_COMPLETE, pc, opv)
-                    event_trace.emit(commit, EV_RETIRE, pc, opv)
-                i += 1
-                w_slot += 1
-                if w_slot == width:
-                    w_slot = 0
-                r_slot += 1
-                if r_slot == rob_size:
-                    r_slot = 0
-                if fire_hooks:
-                    obs.maybe_fire(i, prev_commit, publish_live)
-                if warmup and i == warmup:
-                    warmup_snapshot = self._snapshot(
-                        prev_commit,
-                        full_rob_stall_cycles,
-                        stall_episodes,
-                        commit_block_cycles,
-                        cpi_buckets,
-                    )
-                    commit_cycles_at_warmup = commit_cycles
-                if next_pc is None:
-                    halted = True
-                    break
-                pc = next_pc
-        finally:
-            # Keep architectural state observable (audits compare it
-            # against a fresh reference interpreter) even if a handler
-            # or the hierarchy raised mid-run.
-            functional.pc = pc
-            functional.executed = executed_before + i
-            functional.halted = halted
-
-        return self._finalize(
-            instructions=i,
-            prev_commit=prev_commit,
-            full_rob_stall_cycles=full_rob_stall_cycles,
-            stall_episodes=stall_episodes,
-            commit_block_cycles=commit_block_cycles,
-            cpi_buckets=cpi_buckets,
-            warmup=warmup,
-            warmup_snapshot=warmup_snapshot,
-            event_trace=event_trace,
-            sched={
-                "commit_cycles": commit_cycles,
-                "commit_cycles_at_warmup": commit_cycles_at_warmup,
-                "retire_violations": retire_violations,
-            },
-        )
-
-    def _run_event_general(self, limit: int) -> SimulationResult:
-        """The general event kernel: any technique, any functional source.
-
-        Same restructured flat-int pipeline state as the specialized
-        path, but architectural execution goes through the functional
-        source's ``step()`` (so capture/replay sources work) and every
-        technique hook is invoked exactly where the reference invokes
-        it. This is the path all runahead/VR/DVR timing runs take.
-        """
-        cfg = self.config.core
-        width = cfg.width
-        fe_depth = cfg.frontend_stages
-        rob_size = cfg.rob_size
-        iq_size = cfg.iq_size
-        lq_size = cfg.lq_size
-        sq_size = cfg.sq_size
-        fu_caps, fu_lats = self._fu_tables()
-        fu_busy = [dict() for _ in _FU_ORDER]
-        div_latency = fu_lats[_CLS_DIV]
-
-        decoded = self._decoded()
-        kinds = decoded.kinds
-        op_values = decoded.op_values
-        cls_of = [_FU_INDEX[name] for name in decoded.fu_classes]
-        lat_of = [fu_lats[cls] for cls in cls_of]
-        rd_of = [-1 if r is None else r for r in decoded.rd]
-        rs1_of = [-1 if r is None else r for r in decoded.rs1]
-        rs2_of = [-1 if r is None else r for r in decoded.rs2]
-
-        technique = self.technique
-        hierarchy = self.hierarchy
-        predictor = self.predictor
-        stride_pf = self.l1_stride_prefetcher
-        functional_step = self.functional.step
-        mshr_available = hierarchy.mshr_available
-        hierarchy_access = hierarchy.access
-        demand_load = hierarchy.demand_load
-        is_mapped = self.memory_image.is_mapped
-        predict = predictor.predict
-        predictor_update = predictor.update
-        technique_on_commit = technique.on_commit
-        technique_advance_to = technique.advance_to
-        technique_on_demand_load = technique.on_demand_load
-        heappush = heapq.heappush
-        heappushpop = heapq.heappushpop
-        trace_limit = self.trace_limit
-
-        fetch_ring = [0] * width
-        commit_ring = [0] * width
-        rob_commit_ring = [0] * rob_size
-        rob_miss_ring = [False] * rob_size
-        # The would-be ROB head, for the full-ROB stall hook only; the
-        # reference's (complete, miss, dyn) tuple ring is split into the
-        # flat miss ring above plus this object ring.
-        rob_dyn_ring = [None] * rob_size
-        iq_heap: list = []
-        lq_heap: list = []
-        # Tracked sizes: once full, pushpop keeps them full (see the
-        # flat kernel).
-        iq_count = 0
-        lq_count = 0
-        sq_ring = [0] * sq_size
-        reg_ready = [0] * NUM_REGS
-
-        next_fetch = 0
-        prev_commit = 0
-        stores_seen = 0
-        full_rob_stall_cycles = 0
-        stall_episodes = 0
-        commit_block_cycles = 0
-        stall_handled_until = 0
-        stall_covered_until = 0
-        last_miss_complete = 0
-        last_redirect_cycle = -1
-        cpi_buckets: Dict[str, int] = {}
-        warmup = max(0, self.config.warmup_instructions)
-        warmup_snapshot = None
-        commit_cycles = 0
-        commit_cycles_at_warmup = 0
-        last_commit_value = 0
-        retire_violations = 0
-        level = None
-        i = 0
-        w_slot = 0
-        r_slot = 0
 
         obs = self.observability
         event_trace = obs.trace if obs is not None else None

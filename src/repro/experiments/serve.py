@@ -34,6 +34,7 @@ import http.client
 import json
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -64,6 +65,7 @@ SERVE_COUNTER_NAMES = (
     "serve.misses",
     "serve.failures",
     "serve.inflight",
+    "serve.internal_errors",
 )
 
 HEALTH_SCHEMA = "repro.healthz/1"
@@ -175,6 +177,8 @@ class SimulationServer:
         except asyncio.CancelledError:
             raise
         except Exception:
+            self.counters.inc("serve.internal_errors")
+            traceback.print_exc()
             status, headers, body = 500, {}, _dump({"error": "internal error"})
         reason = {
             200: "OK", 400: "Bad Request", 404: "Not Found",

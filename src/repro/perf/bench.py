@@ -32,9 +32,12 @@ Kernels:
     :meth:`OoOCore.run_reference` loop (the executable spec, and the
     kernel the historical ``BENCH_core.json`` baselines measured).
 ``ooo_event_loop``
-    Its successor: the event-driven flat-array kernel behind
-    :meth:`OoOCore.run`, differentially tested to be bit-identical to
-    ``ooo_loop``'s loop (``tests/test_ooo_event_kernel.py``).
+    Its successor, on the path sweeps run: the event-driven kernel
+    behind :meth:`OoOCore.run`, fed by a
+    :class:`~repro.perf.trace.ReplaySource` whose stream is captured
+    outside the timed window. Differentially tested to be
+    bit-identical to ``ooo_loop``'s loop
+    (``tests/test_ooo_event_kernel.py``).
 ``cycle_loop`` / ``cycle_event_loop``
     The literal cycle-by-cycle core (:class:`CycleCore`), tick-driven
     reference vs. the event-driven kernel that skips idle spans. The
@@ -154,17 +157,25 @@ def _trace_replay(n: int) -> Tuple[int, float]:
     return work, time.perf_counter() - t0
 
 
-def _make_ooo_core(n: int):
+def _make_ooo_core(n: int, replay: bool = False):
     from ..core.ooo import OoOCore
     from ..techniques import make_technique
 
     wl = build_workload(_BENCH_WORKLOAD)
+    source = None
+    if replay:
+        # Capture from a separate build, so the core replays into a
+        # pristine memory image exactly as a sweep's replayed run does.
+        captured = build_workload(_BENCH_WORKLOAD)
+        trace = capture_arch_trace(captured.program, captured.memory, n)
+        source = ReplaySource(trace, wl.program, wl.memory)
     return OoOCore(
         wl.program,
         wl.memory,
         SimConfig().with_max_instructions(n),
         technique=make_technique("ooo"),
         workload_name="bench",
+        functional_source=source,
     )
 
 
@@ -176,7 +187,7 @@ def _ooo_loop(n: int) -> Tuple[int, float]:
 
 
 def _ooo_event_loop(n: int) -> Tuple[int, float]:
-    core = _make_ooo_core(n)
+    core = _make_ooo_core(n, replay=True)
     t0 = time.perf_counter()
     result = core.run()
     return result.instructions, time.perf_counter() - t0

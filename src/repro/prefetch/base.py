@@ -34,12 +34,6 @@ class Technique:
     name = "base"
     #: True when the memory hierarchy should run in ideal (oracle) mode.
     wants_ideal_memory = False
-    #: A passive technique never overrides any hook and never sets
-    #: ``fetch_blocked_until`` / ``commit_blocked_until``. The timing
-    #: core exploits this: the event kernel's flat fast path elides every
-    #: technique callback. Subclasses that implement any hook must leave
-    #: this False.
-    passive = False
     #: Declarative :class:`~repro.config.RunaheadConfig` field pins.
     #: Ablation variants (``dvr-offload``, ...) are the plain technique
     #: plus pins; :meth:`resolved_runahead` folds them into the run's
@@ -112,4 +106,3 @@ class NullTechnique(Technique):
     """The out-of-order baseline: no runahead, no extra prefetching."""
 
     name = "ooo"
-    passive = True

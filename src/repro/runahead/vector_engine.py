@@ -371,7 +371,6 @@ class VectorChainRun:
                     self._capture(group)
                 terminate = True
             if terminate:
-                self._capture_if_needed(group)
                 group = None
                 continue
 
@@ -406,7 +405,6 @@ class VectorChainRun:
 
             if op is Opcode.HALT:
                 self.instr_no_issue += 1
-                self._capture_if_needed(group)
                 group = None
                 continue
             if op is Opcode.STORE or op is Opcode.PREFETCH:
@@ -728,7 +726,6 @@ class VectorChainRun:
             self._ctl = issue + 1
             if cond is None:
                 # Lost track of scalar control flow: terminate the group.
-                self._capture_if_needed(group)
                 return None
             taken = (cond != 0) if instr.opcode is Opcode.BNZ else (cond == 0)
             group.pc = taken_target if taken else pc + 1
@@ -782,7 +779,6 @@ class VectorChainRun:
     ) -> Optional[_Group]:
         """Route the lane partitions (shared, timing-free bookkeeping)."""
         if not taken_lanes and not fall_lanes:
-            self._capture_if_needed(group)
             return None
         if not taken_lanes:
             group.lanes = tuple(fall_lanes)
@@ -904,7 +900,6 @@ class VectorChainRun:
                     self._capture(group)
                 terminate = True
             if terminate:
-                self._capture_if_needed(group)
                 group = None
                 continue
 
@@ -941,7 +936,6 @@ class VectorChainRun:
 
             if op is Opcode.HALT:
                 self.instr_no_issue += 1
-                self._capture_if_needed(group)
                 group = None
                 continue
             if op is Opcode.STORE or op is Opcode.PREFETCH:
@@ -1123,7 +1117,6 @@ class VectorChainRun:
             self.scalar_copies += 1
             if cond is None:
                 # Lost track of scalar control flow: terminate the group.
-                self._capture_if_needed(group)
                 return None
             taken = (cond != 0) if instr.opcode is Opcode.BNZ else (cond == 0)
             group.pc = taken_target if taken else pc + 1
@@ -1165,8 +1158,3 @@ class VectorChainRun:
             self.end_states[lane] = [
                 self._lane_value(reg, lane) for reg in range(NUM_REGS)
             ]
-
-    def _capture_if_needed(self, group: Optional[_Group]) -> None:
-        if group is not None and self.capture_end_states:
-            # Group died away from end_pc: no useful state to capture.
-            pass

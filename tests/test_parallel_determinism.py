@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ReproError
-from repro.experiments.parallel import run_batch
+from repro.experiments.batch import run_batch
 
 _SPECS = [
     {"workload": "camel", "technique": "vr", "max_instructions": 1200},

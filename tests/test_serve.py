@@ -244,6 +244,37 @@ class TestEndpoints:
             assert conn.getresponse().status == 405
             conn.close()
 
+    def test_handler_fault_is_counted_and_logged(self, monkeypatch, capsys):
+        import http.client
+
+        original = SimulationServer._dispatch
+        faults = []
+
+        async def faulty_once(self, reader):
+            # Fail after the request is read, so the client is never
+            # cut off mid-send by the early reply.
+            reply = await original(self, reader)
+            if not faults:
+                faults.append(reply)
+                raise RuntimeError("injected handler fault")
+            return reply
+
+        monkeypatch.setattr(SimulationServer, "_dispatch", faulty_once)
+        with ServerThread() as server:
+            conn = http.client.HTTPConnection(*server.address, timeout=10)
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            body = response.read()
+            conn.close()
+            health = _get_json(server.address, "/healthz")
+        assert response.status == 500
+        assert json.loads(body) == {"error": "internal error"}
+        assert health["counters"]["serve.internal_errors"] == 1
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "injected handler fault" in err
+        assert health["status"] == "ok"
+        assert health["conservation"]["passed"]
+
     def test_garbage_on_the_port_does_not_kill_the_server(self):
         import socket
 
