@@ -21,29 +21,38 @@ Guarantees, in order of importance:
   completion order and are bit-identical to serial execution (workers
   return whole :class:`SimulationResult` objects; nothing is reduced
   in a nondeterministic order).
-* **Retry** — transient worker-pool death (OOM-killed child, broken
-  pipe) re-runs only the unfinished specs, with bounded exponential
-  backoff; after ``retries`` extra attempts the survivors are reported
-  as failures rather than hanging or sinking the batch.
-* **Throughput** — ``imap_unordered`` with chunking keeps all workers
-  busy regardless of per-spec runtime skew; identical specs are
-  deduplicated (content-addressed, same keying as the result cache) so
-  e.g. a repeated ``ooo`` baseline simulates once.
+* **Retry** — a worker that dies mid-spec (OOM-killed child, crash)
+  breaks the pool; :class:`LocalPool` replaces it after a bounded
+  exponential backoff (:data:`RETRY_BACKOFF`) and resubmits only the
+  specs that had no outcome yet. After ``retries`` extra attempts a
+  spec resolves to a ``WorkerDeath`` failure rather than hanging or
+  sinking the batch.
+* **Throughput** — each worker takes the next spec as soon as it is
+  free, so per-spec runtime skew never idles the pool; identical specs
+  are deduplicated (content-addressed, same keying as the result cache)
+  so e.g. a repeated ``ooo`` baseline simulates once.
 * **Caching** — pass ``cache=ResultCache(...)`` to serve clean specs
   from disk and persist fresh results, so a re-run after an edit or a
   crash re-simulates only what changed (``--resume``).
 
-Progress and health are published into the ``batch.*`` counter family
+One failure taxonomy covers every front end (this runner, ``repro
+serve`` and the fabric): a spec that raised (``error_type`` is its
+exception class), ``WorkerDeath`` (its worker died on every attempt),
+or an entry that could not be parsed. Progress and health are
+published into the ``batch.*`` counter family
 (:data:`~repro.experiments.cache.BATCH_COUNTERS`).
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
+import threading
 import time
 import traceback as traceback_module
+from concurrent.futures import BrokenExecutor, Future
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.ooo import SimulationResult
@@ -59,6 +68,9 @@ BatchOutcome = Union[SimulationResult, "BatchFailure"]
 #: (``observability``/``replay``) that never enter the content address.
 BatchItem = Tuple[RunSpec, Dict]
 
+#: Seconds before a dead pool is replaced; doubles with each attempt.
+RETRY_BACKOFF = 0.25
+
 
 @dataclass
 class BatchFailure:
@@ -66,13 +78,14 @@ class BatchFailure:
 
     #: JSON-safe copy of the offending spec (configs as nested dicts).
     spec: Dict
-    #: Exception class name (``WorkloadError``, ``ConfigError``, ...).
+    #: Exception class name (``WorkloadError``, ``ConfigError``, ...),
+    #: or ``WorkerDeath`` when every attempt lost its worker.
     error_type: str
     #: ``str(exception)``.
     message: str
     #: Full formatted traceback from the worker that ran the spec.
     traceback: str
-    #: Pool attempts consumed before giving up (1 = first try failed
+    #: Attempts consumed before giving up (1 = first try failed
     #: deterministically; >1 = transient worker death exhausted retries).
     attempts: int = 1
 
@@ -113,150 +126,197 @@ def _failure_payload(spec: RunSpec, runtime: Dict) -> Dict:
     return payload
 
 
+def spec_failure(item: BatchItem, exc: BaseException) -> BatchFailure:
+    """The failure of a spec whose run raised ``exc``."""
+    trace = traceback_module.format_exception(type(exc), exc, exc.__traceback__)
+    return BatchFailure(
+        _failure_payload(*item), type(exc).__name__, str(exc), "".join(trace)
+    )
+
+
+def worker_death(item: BatchItem, attempts: int, cause: str) -> BatchFailure:
+    """The failure of a spec whose worker died on each of its ``attempts``
+    (a dead pool process here, an expired or dropped lease in the fabric)."""
+    message = f"worker died on all {attempts} attempts ({cause}); giving up"
+    return BatchFailure(_failure_payload(*item), "WorkerDeath", message, "", attempts)
+
+
 def _execute_spec(item: BatchItem) -> BatchOutcome:
     """Run one spec, converting any exception into a BatchFailure."""
     spec, runtime = item
     try:
         return run_simulation(spec, **runtime)
     except Exception as exc:  # noqa: BLE001 — the isolation boundary
-        return BatchFailure(
-            spec=_failure_payload(spec, runtime),
-            error_type=type(exc).__name__,
-            message=str(exc),
-            traceback=traceback_module.format_exc(),
+        return spec_failure(item, exc)
+
+
+# Prefer fork where available: it does not re-import __main__, so pools
+# work from scripts, notebooks, and the REPL alike, and workers inherit
+# the parent's module state (an installed trace dir, a patched runner).
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+)
+
+
+class LocalPool:
+    """The one process pool behind ``run_batch`` and ``repro serve``.
+
+    :meth:`submit` returns a future that always resolves to the item's
+    :data:`BatchOutcome` and never raises. A dead worker breaks the whole
+    executor (``BrokenProcessPool``). The first future to see the break
+    drops that executor (only if it is still current, so a late report
+    never takes down a replacement), counts one ``batch.retries`` and
+    waits the backoff; every spec the break failed is then resubmitted
+    to a fresh executor, up to ``retries`` extra attempts, before it
+    resolves to a :func:`worker_death` failure. Workers start on the
+    first submit.
+    """
+
+    def __init__(self, workers: int, retries: int = 2) -> None:
+        self.workers = workers
+        self.retries = retries
+        self._lock = threading.Lock()
+        self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._closed = False
+
+    def submit(self, item: BatchItem) -> "Future[BatchOutcome]":
+        outcome: Future = Future()
+        # Running futures cannot be cancelled, so an abandoned waiter
+        # (a cancelled asyncio wrapper, say) never loses the outcome.
+        outcome.set_running_or_notify_cancel()
+        self._attempt(item, outcome, 1)
+        return outcome
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop the workers; specs still queued resolve to failures."""
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=wait, cancel_futures=True)
+
+    def _attempt(self, item: BatchItem, outcome: Future, attempt: int) -> None:
+        try:
+            while True:
+                with self._lock:
+                    if self._closed:
+                        raise ReproError("the pool was shut down")
+                    if self._executor is None:
+                        # Resolved here, not imported at module load:
+                        # loading the process-pool machinery early adds
+                        # ~4 MB to a serving parent's peak RSS.
+                        self._executor = concurrent.futures.ProcessPoolExecutor(
+                            self.workers, mp_context=_CONTEXT
+                        )
+                    executor = self._executor
+                try:
+                    future = executor.submit(_execute_spec, item)
+                    break
+                except BrokenExecutor:
+                    # It broke before this spec reached it, so this is
+                    # not an attempt: submit to a replacement instead.
+                    self._replace(executor)
+        except Exception as exc:  # noqa: BLE001 — the future must resolve
+            outcome.set_result(spec_failure(item, exc))
+            return
+        future.add_done_callback(
+            lambda done: self._settle(item, outcome, attempt, executor, done)
         )
 
+    def _replace(self, broken) -> bool:
+        """Drop ``broken`` if it is still current; True if this call did."""
+        with self._lock:
+            if self._executor is not broken:
+                return False
+            self._executor = None
+            return True
 
-def _pool_worker(item: Tuple[str, BatchItem]) -> Tuple[str, BatchOutcome]:
-    key, payload = item
-    return key, _execute_spec(payload)
-
-
-def _run_pool(
-    items: Sequence[Tuple[str, BatchItem]], jobs: int
-) -> Iterable[Tuple[str, BatchOutcome]]:
-    """One pool pass over ``items``; yields (key, outcome) as they finish.
-
-    Factored out so the retry loop (and tests) can treat "the pool blew
-    up" as a single fallible operation.
-    """
-    # Prefer fork where available: it does not re-import __main__, so
-    # run_batch works from scripts, notebooks, and the REPL alike.
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    context = multiprocessing.get_context(method)
-    chunksize = max(1, len(items) // (jobs * 4))
-    with context.Pool(min(jobs, len(items))) as pool:
-        yield from pool.imap_unordered(_pool_worker, items, chunksize=chunksize)
-
-
-def _run_pending_parallel(
-    pending: List[Tuple[str, BatchItem]],
-    jobs: int,
-    outcomes: Dict[str, BatchOutcome],
-    retries: int,
-    retry_backoff: float,
-) -> None:
-    """Drive the pool over ``pending``, retrying transient pool death.
-
-    Spec-level exceptions never reach this layer (workers catch them
-    into BatchFailures); an exception here means the pool machinery
-    itself broke — a killed worker, a broken pipe — so only the specs
-    without an outcome yet are re-dispatched.
-    """
-    remaining = list(pending)
-    attempt = 0
-    while remaining:
-        try:
-            for key, outcome in _run_pool(remaining, jobs):
-                outcomes[key] = outcome
-            remaining = [item for item in remaining if item[0] not in outcomes]
-            if not remaining:
-                return
-            raise ReproError(
-                f"worker pool finished but left {len(remaining)} specs without results"
-            )
-        except Exception as exc:  # noqa: BLE001 — pool-level fault domain
-            remaining = [item for item in remaining if item[0] not in outcomes]
-            if not remaining:
-                return
-            attempt += 1
-            if attempt > retries:
-                trace = traceback_module.format_exc()
-                for key, (spec, runtime) in remaining:
-                    outcomes[key] = BatchFailure(
-                        spec=_failure_payload(spec, runtime),
-                        error_type=type(exc).__name__,
-                        message=(
-                            f"worker pool failed {attempt} times; giving up: {exc}"
-                        ),
-                        traceback=trace,
-                        attempts=attempt,
-                    )
-                return
+    def _settle(self, item, outcome, attempt, executor, done) -> None:
+        exc = ReproError("the pool was shut down") if done.cancelled() else done.exception()
+        if not isinstance(exc, BrokenExecutor):
+            outcome.set_result(done.result() if exc is None else spec_failure(item, exc))
+            return
+        first = self._replace(executor)  # the first future to see this death
+        if attempt > self.retries:
+            outcome.set_result(worker_death(item, attempt, str(exc)))
+            return
+        if first:
             BATCH_COUNTERS.inc("batch.retries")
-            time.sleep(retry_backoff * (2 ** (attempt - 1)))
+            time.sleep(RETRY_BACKOFF * 2 ** (attempt - 1))
+        self._attempt(item, outcome, attempt + 1)
 
 
-def normalize_specs(
-    specs: Sequence[Union[RunSpec, Dict]], audit: bool = False
-) -> Tuple[List[Optional[BatchItem]], Dict[int, BatchFailure]]:
-    """Normalize raw batch entries onto the canonical spec type.
+@dataclass
+class BatchPlan:
+    """A batch split by where each distinct spec's outcome comes from.
 
-    Returns one slot per input: the parsed :data:`BatchItem`, or
-    ``None`` for a slot whose entry could not even be parsed — such a
-    spec is isolated exactly like one that fails to run, via a
-    :class:`BatchFailure` in the second mapping (index → failure).
-    Shared by :func:`run_batch` and the fabric coordinator.
+    Shared by :func:`run_batch` and the fabric coordinator. Entries are
+    normalized (an unparsable one fills its slot from
+    ``parse_failures``) and deduped content-addressed (``positions``:
+    key → every slot holding that spec). Clean specs found in the cache
+    start in ``outcomes``; specs carrying a live observability facade,
+    which cannot be pickled, are ``inline`` (run in this process, never
+    deduped or cached); the rest are ``pending``.
     """
-    items: List[Optional[BatchItem]] = []
-    parse_failures: Dict[int, BatchFailure] = {}
+
+    size: int
+    parse_failures: Dict[int, BatchFailure] = field(default_factory=dict)
+    positions: Dict[str, List[int]] = field(default_factory=dict)
+    outcomes: Dict[str, BatchOutcome] = field(default_factory=dict)
+    inline: List[Tuple[str, BatchItem]] = field(default_factory=list)
+    pending: List[Tuple[str, BatchItem]] = field(default_factory=list)
+
+    @property
+    def reused(self) -> int:
+        """Parsable slots that dedup folded onto an earlier spec."""
+        return sum(len(slots) - 1 for slots in self.positions.values())
+
+    def results(self) -> List[Optional[BatchOutcome]]:
+        """One outcome per input slot, in spec order (None = unresolved)."""
+        results: List[Optional[BatchOutcome]] = [None] * self.size
+        for index, failure in self.parse_failures.items():
+            results[index] = failure
+        for key, slots in self.positions.items():
+            outcome = self.outcomes.get(key)
+            for index in slots:
+                results[index] = outcome
+        return results
+
+
+def plan_batch(
+    specs: Sequence[Union[RunSpec, Dict]],
+    *,
+    cache: Optional[ResultCache] = None,
+    audit: bool = False,
+) -> BatchPlan:
+    """Normalize, dedup and cache-split raw batch entries (see BatchPlan)."""
+    plan = BatchPlan(len(specs))
     for index, raw in enumerate(specs):
         try:
             spec, runtime = parse_spec_entry(raw)
-            if audit:
-                runtime = dict(runtime, audit=True)
-            items.append((spec, runtime))
         except Exception as exc:  # noqa: BLE001 — the isolation boundary
-            parse_failures[index] = BatchFailure(
-                spec=canonical_spec(dict(raw)) if isinstance(raw, dict) else {},
-                error_type=type(exc).__name__,
-                message=str(exc),
-                traceback=traceback_module.format_exc(),
+            plan.parse_failures[index] = BatchFailure(
+                canonical_spec(dict(raw)) if isinstance(raw, dict) else {},
+                type(exc).__name__, str(exc), traceback_module.format_exc(),
             )
-            items.append(None)
-    return items, parse_failures
-
-
-def dedup_items(
-    items: Sequence[Optional[BatchItem]],
-    counters=None,
-) -> Tuple[Dict[str, List[int]], List[Tuple[str, BatchItem]]]:
-    """Content-addressed dedup: identical specs simulate once.
-
-    Returns ``positions`` (key → every input slot holding that spec)
-    and ``unique`` (one ``(key, item)`` per distinct spec, input
-    order). Specs carrying a live observability facade are never
-    deduped (the caller wants per-run side-band state populated).
-    """
-    if counters is None:
-        counters = BATCH_COUNTERS
-    positions: Dict[str, List[int]] = {}
-    unique: List[Tuple[str, BatchItem]] = []
-    for index, item in enumerate(items):
-        if item is None:
             continue
-        spec, runtime = item
-        if runtime.get("observability") is None:
-            key = spec.key()
-        else:
-            key = f"uncacheable-{index}"
-        slots = positions.setdefault(key, [])
-        if slots:
-            counters.inc("batch.dedup.reused")
-        else:
-            unique.append((key, item))
+        if audit:
+            runtime = dict(runtime, audit=True)
+        live = runtime.get("observability") is not None
+        key = f"uncacheable-{index}" if live else spec.key()
+        slots = plan.positions.setdefault(key, [])
         slots.append(index)
-    return positions, unique
+        if len(slots) > 1:
+            continue
+        if live:
+            plan.inline.append((key, (spec, runtime)))
+            continue
+        hit = cache.get(key) if cache is not None and not runtime.get("audit") else None
+        if hit is not None:
+            plan.outcomes[key] = hit
+        else:
+            plan.pending.append((key, (spec, runtime)))
+    return plan
 
 
 def _validate_jobs(jobs: Optional[int]) -> None:
@@ -274,11 +334,10 @@ def run_batch(
     *,
     cache: Optional[ResultCache] = None,
     retries: int = 2,
-    retry_backoff: float = 0.25,
     strict: bool = False,
     audit: bool = False,
 ) -> List[BatchOutcome]:
-    """Run every spec; ``jobs`` > 1 uses a process pool.
+    """Run every spec; ``jobs`` > 1 uses a :class:`LocalPool`.
 
     Each entry is a :class:`RunSpec`, a ``repro.spec/1`` payload dict,
     or a legacy ``run_simulation`` kwargs dict (normalized via
@@ -289,7 +348,8 @@ def run_batch(
     ``jobs=None`` or ``jobs=1`` runs serially (no subprocess overhead —
     the right choice for small batches and inside test suites); every
     other guarantee (isolation, dedup, caching, spec-order results) is
-    identical between the serial and parallel paths.
+    identical between the serial and parallel paths. Specs carrying a
+    live observability facade always run in this process.
 
     Returns one entry per spec, in spec order: a
     :class:`SimulationResult` on success, a :class:`BatchFailure`
@@ -304,24 +364,12 @@ def run_batch(
     _validate_jobs(jobs)
     BATCH_COUNTERS.inc("batch.batches")
     BATCH_COUNTERS.inc("batch.specs", len(specs))
+    plan = plan_batch(specs, cache=cache, audit=audit)
+    if plan.reused:
+        BATCH_COUNTERS.inc("batch.dedup.reused", plan.reused)
 
-    # Normalize every entry onto the canonical spec type (a spec that
-    # cannot be parsed carries a BatchFailure in its slot), then dedup
-    # content-addressed so identical specs simulate once.
-    items, parse_failures = normalize_specs(specs, audit=audit)
-    positions, unique = dedup_items(items)
-
-    outcomes: Dict[str, BatchOutcome] = {}
-    pending: List[Tuple[str, BatchItem]] = []
-    for key, item in unique:
-        cacheable = item[1].get("observability") is None and not item[1].get("audit")
-        hit = cache.get(key) if cache is not None and cacheable else None
-        if hit is not None:
-            outcomes[key] = hit
-        else:
-            pending.append((key, item))
-
-    if pending:
+    outcomes = plan.outcomes
+    if plan.pending or plan.inline:
         # With a cache attached, captured architectural traces persist
         # next to the results (cache.root/traces). The module-level
         # trace dir is installed before the pool forks, so workers
@@ -333,29 +381,26 @@ def run_batch(
             else nullcontext()
         )
         with trace_ctx:
-            if jobs is None or jobs <= 1 or len(pending) <= 1:
-                for key, item in pending:
+            if jobs is None or jobs <= 1 or len(plan.pending) <= 1:
+                for key, item in plan.pending + plan.inline:
                     outcomes[key] = _execute_spec(item)
             else:
-                _run_pending_parallel(pending, jobs, outcomes, retries, retry_backoff)
+                pool = LocalPool(min(jobs, len(plan.pending)), retries)
+                try:
+                    futures = [(key, pool.submit(item)) for key, item in plan.pending]
+                    for key, item in plan.inline:
+                        outcomes[key] = _execute_spec(item)
+                    for key, future in futures:
+                        outcomes[key] = future.result()
+                finally:
+                    pool.shutdown()
         if cache is not None:
-            for key, item in pending:
-                outcome = outcomes.get(key)
-                cacheable = (
-                    item[1].get("observability") is None
-                    and not item[1].get("audit")
-                )
-                if isinstance(outcome, SimulationResult) and cacheable:
+            for key, item in plan.pending:
+                outcome = outcomes[key]
+                if isinstance(outcome, SimulationResult) and not item[1].get("audit"):
                     cache.put(key, outcome)
 
-    results: List[Optional[BatchOutcome]] = [None] * len(specs)
-    for index, failure in parse_failures.items():
-        results[index] = failure
-    for key, slots in positions.items():
-        outcome = outcomes[key]
-        for index in slots:
-            results[index] = outcome
-
+    results = plan.results()
     failures = [r for r in results if isinstance(r, BatchFailure)]
     if failures:
         BATCH_COUNTERS.inc("batch.failures", len(failures))

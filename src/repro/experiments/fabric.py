@@ -61,9 +61,8 @@ from .batch import (
     BatchItem,
     BatchOutcome,
     _execute_spec,
-    _failure_payload,
-    dedup_items,
-    normalize_specs,
+    plan_batch,
+    worker_death,
 )
 from .cache import ResultCache
 from .protocol import (
@@ -306,49 +305,38 @@ class Coordinator:
         self._lease_seq = itertools.count(1)
         self._leases: Dict[int, _Lease] = {}
         self._attempts: Dict[str, int] = {}
-        self._queue: Deque[Tuple[str, BatchItem]] = deque()
-        self._outcomes: Dict[str, BatchOutcome] = {}
         self.worker_completions: Dict[str, int] = {}
 
-        items, self._parse_failures = normalize_specs(specs, audit=audit)
-        self._positions, unique = dedup_items(items, self.counters)
-        self._spec_count = len(specs)
-        parsable = sum(1 for item in items if item is not None)
+        # The same normalize → dedup → cache split run_batch uses; a spec
+        # carrying a live observability facade cannot cross a socket, so
+        # it runs here, in-process.
+        self._plan = plan = plan_batch(specs, cache=cache, audit=audit)
+        self._outcomes = plan.outcomes
         inc = self.counters.inc
         inc("fabric.specs", len(specs))
-        inc("fabric.unique", len(unique))
-        inc("fabric.parse_failures", len(self._parse_failures))
-        inc("fabric.dedup.reused", parsable - len(unique))
+        inc("fabric.unique", len(plan.positions))
+        inc("fabric.parse_failures", len(plan.parse_failures))
+        inc("fabric.dedup.reused", plan.reused)
 
         ledgered = manifest.completed() if manifest is not None else {}
-        resumed_keys = {k for k, s in ledgered.items() if s == "ok"}
-        for key, item in unique:
-            spec, runtime = item
-            if runtime.get("observability") is not None:
-                # A live observability facade cannot cross a socket;
-                # run it in-process, like run_batch runs it unpooled.
-                outcome = _execute_spec(item)
-                self._outcomes[key] = outcome
-                inc("fabric.local")
-                if manifest is not None and key not in ledgered:
-                    manifest.record(
-                        key, "fail" if isinstance(outcome, BatchFailure) else "ok"
-                    )
-                continue
-            hit = cache.get(key) if cache is not None and not runtime.get("audit") else None
-            if hit is not None:
-                self._outcomes[key] = hit
-                if key in resumed_keys:
-                    inc("fabric.resumed")
-                else:
-                    # A cold cache hit completes the spec just as a worker
-                    # result would — the ledger must say so, or status/
-                    # resume would believe it never finished.
-                    inc("fabric.cache.hits")
-                    if manifest is not None:
-                        manifest.record(key, "ok")
-                continue
-            self._queue.append((key, item))
+        for key in plan.outcomes:
+            if ledgered.get(key) == "ok":
+                inc("fabric.resumed")
+            else:
+                # A cold cache hit completes the spec just as a worker
+                # result would — the ledger must say so, or status/
+                # resume would believe it never finished.
+                inc("fabric.cache.hits")
+                if manifest is not None:
+                    manifest.record(key, "ok")
+        for key, item in plan.inline:
+            outcome = self._outcomes[key] = _execute_spec(item)
+            inc("fabric.local")
+            if manifest is not None and key not in ledgered:
+                manifest.record(
+                    key, "fail" if isinstance(outcome, BatchFailure) else "ok"
+                )
+        self._queue: Deque[Tuple[str, BatchItem]] = deque(plan.pending)
         self._check_done()
 
     # -- lifecycle ------------------------------------------------------------
@@ -403,18 +391,11 @@ class Coordinator:
 
     def remaining(self) -> int:
         with self._lock:
-            return len(self._positions) - len(self._outcomes)
+            return len(self._plan.positions) - len(self._outcomes)
 
     def results(self) -> List[BatchOutcome]:
         with self._lock:
-            results: List[Optional[BatchOutcome]] = [None] * self._spec_count
-            for index, failure in self._parse_failures.items():
-                results[index] = failure
-            for key, slots in self._positions.items():
-                outcome = self._outcomes.get(key)
-                for index in slots:
-                    results[index] = outcome
-            return results
+            return self._plan.results()
 
     # -- server loops ---------------------------------------------------------
 
@@ -572,7 +553,7 @@ class Coordinator:
                 self.counters.inc("fabric.late")
             key = lease.key if lease is not None else message.get("key")
             ok = isinstance(outcome, SimulationResult)
-            if key not in self._positions or key in self._outcomes:
+            if key not in self._plan.positions or key in self._outcomes:
                 # Late result for a spec that was requeued and has
                 # since completed elsewhere (or an unknown key): the
                 # work is acknowledged but not double-recorded.
@@ -612,17 +593,7 @@ class Coordinator:
         attempts = self._attempts.get(lease.key, 0) + 1
         self._attempts[lease.key] = attempts
         if attempts > self.retries:
-            spec, runtime = lease.item
-            self._outcomes[lease.key] = BatchFailure(
-                spec=_failure_payload(spec, runtime),
-                error_type="WorkerDeath",
-                message=(
-                    f"leased to {attempts} workers that all died "
-                    f"({reason}); giving up"
-                ),
-                traceback="",
-                attempts=attempts,
-            )
+            self._outcomes[lease.key] = worker_death(lease.item, attempts, reason)
             self.counters.inc("fabric.lost")
             if self.manifest is not None:
                 self.manifest.record(lease.key, "fail", lease.worker)
@@ -633,7 +604,7 @@ class Coordinator:
         self.counters.set("fabric.leased", len(self._leases))
 
     def _check_done(self) -> None:
-        if len(self._outcomes) >= len(self._positions):
+        if len(self._outcomes) >= len(self._plan.positions):
             self._done.set()
 
     # -- reporting ------------------------------------------------------------

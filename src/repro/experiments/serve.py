@@ -10,11 +10,11 @@ requests onto ONE in-flight simulation (single-flight keyed on
 Late joiners await the same future and every caller receives the
 bit-identical ``repro.stats/1`` document.
 
-Simulations execute in a bounded process pool through
-:func:`repro.experiments.batch._execute_spec` — the same isolation
-boundary the batch runner uses — so a poisoned spec comes back as a
-structured ``repro.batch-result/1`` failure document instead of killing
-the server.
+Simulations execute in the same :class:`~repro.experiments.batch.LocalPool`
+the batch runner uses, so a poisoned spec comes back as a structured
+``repro.batch-result/1`` failure document instead of killing the
+server, and a dead worker is retried on a fresh pool before the
+request fails as ``WorkerDeath``.
 
 The server publishes a ``serve.*`` counter book into
 :data:`BATCH_COUNTERS` and its request law is checkable at any instant
@@ -29,7 +29,6 @@ guide.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import http.client
 import json
 import threading
@@ -42,7 +41,7 @@ from ..core.ooo import SimulationResult
 from ..errors import ReproError
 from ..observability.counters import CounterRegistry
 from ..observability.export import stats_payload
-from .batch import BatchFailure, _execute_spec, _failure_payload
+from .batch import BatchFailure, LocalPool, spec_failure
 from .cache import BATCH_COUNTERS, ResultCache
 from .protocol import outcome_to_payload
 from .runner import run_simulation
@@ -131,7 +130,7 @@ class SimulationServer:
         self._flights: Dict[str, _Flight] = {}
         self._tasks: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._pool = LocalPool(pool_size)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -153,21 +152,12 @@ class SimulationServer:
             await self._server.wait_closed()
         for task in list(self._tasks):
             task.cancel()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        self._pool.shutdown(wait=False)
 
     async def serve_forever(self) -> None:
         if self._server is None:
             await self.start()
         await self._server.serve_forever()
-
-    def _pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.pool_size
-            )
-        return self._executor
 
     # -- http plumbing --------------------------------------------------------
 
@@ -263,10 +253,8 @@ class SimulationServer:
             self.counters.inc("serve.misses")
             self.counters.inc("serve.failures")
             failure = BatchFailure(
-                spec={"raw": body[:512].decode(errors="replace")},
-                error_type=type(exc).__name__,
-                message=str(exc),
-                traceback="",
+                {"raw": body[:512].decode(errors="replace")},
+                type(exc).__name__, str(exc), "",
             )
             return 400, {"X-Repro-Served": "miss"}, _dump(
                 outcome_to_payload("", failure)
@@ -307,35 +295,25 @@ class SimulationServer:
 
     async def _fly(self, flight_key: str, spec: RunSpec, runtime: Dict, audit: bool):
         flight = self._flights[flight_key]
-        loop = asyncio.get_running_loop()
         item = (spec, dict(runtime))
+        outcome = None
         try:
-            outcome = await loop.run_in_executor(self._pool(), _execute_spec, item)
-        except asyncio.CancelledError:
-            if not flight.future.done():
-                flight.future.cancel()
+            outcome = await asyncio.wrap_future(self._pool.submit(item))
+        except BaseException as exc:
+            # Cancelled (the server is stopping): the waiters still get
+            # a counted, structured answer, and the flight never lingers
+            # for later identical requests to coalesce onto.
+            outcome = spec_failure(item, exc)
             raise
-        except Exception as exc:  # noqa: BLE001 — e.g. BrokenProcessPool
-            # The pool itself died (a worker was OOM-killed, say):
-            # rebuild it for the next request and hand the waiters a
-            # structured failure rather than an exception.
-            if self._executor is not None:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-                self._executor = None
-            outcome = BatchFailure(
-                spec=_failure_payload(spec, runtime),
-                error_type=type(exc).__name__,
-                message=str(exc),
-                traceback="",
-            )
-        if isinstance(outcome, BatchFailure):
-            self.counters.inc("serve.failures")
-        elif self.cache is not None and not audit:
-            self.cache.put(flight.key, outcome)
-        self._flights.pop(flight_key, None)
-        self.counters.set("serve.inflight", len(self._flights))
-        if not flight.future.done():
-            flight.future.set_result(outcome)
+        finally:
+            self._flights.pop(flight_key, None)
+            self.counters.set("serve.inflight", len(self._flights))
+            if not flight.future.done():
+                flight.future.set_result(outcome)
+            if isinstance(outcome, BatchFailure):
+                self.counters.inc("serve.failures")
+            elif self.cache is not None and not audit:
+                self.cache.put(flight.key, outcome)
 
     def _respond(
         self, key: str, outcome, served: str, audit: bool

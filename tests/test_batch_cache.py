@@ -25,6 +25,7 @@ from repro.experiments import (
 )
 from repro.experiments import batch as batch_module
 from repro.experiments import cache as cache_module
+from repro.observability import Observability
 
 
 @pytest.fixture(autouse=True)
@@ -78,58 +79,102 @@ class TestIsolation:
         direct = run_simulation("camel", "ooo", max_instructions=800)
         assert results[0].to_dict() == direct.to_dict()
 
+    def test_live_observability_spec_runs_inline_beside_the_pool(self):
+        obs = Observability(trace=True)
+        specs = [_spec(), _spec(technique="dvr"), _spec("nas_is"),
+                 _spec("nas_is", "dvr"), _spec(n=900, observability=obs)]
+        results = run_batch(specs, jobs=2)
+        assert not batch_failures(results)
+        assert obs.trace.emitted > 0
+        direct = run_simulation("camel", "ooo", max_instructions=800)
+        assert results[0].to_dict() == direct.to_dict()
+
+
+#: Runs a two-spec ``run_batch(jobs=2)`` in a fresh interpreter whose
+#: ``batch.run_simulation`` is patched (forked pool workers inherit the
+#: patch) so the ``nas_is`` worker ``os._exit``s on its first ``deaths``
+#: attempts, each only after ``camel`` has finished. argv: marker dir,
+#: deaths. Prints the failures, ``batch.retries`` and every run started.
+_WORKER_DEATH_SCRIPT = """
+import json, os, sys, time
+from pathlib import Path
+
+from repro.experiments import BATCH_COUNTERS, batch_failures, run_batch
+from repro.experiments import batch as batch_module
+
+marks, deaths = Path(sys.argv[1]), int(sys.argv[2])
+original = batch_module.run_simulation
+
+
+def dying(spec, **runtime):
+    with open(marks / "runs.log", "a") as log:
+        log.write(spec.workload + "\\n")
+    died = len(list(marks.glob("death-*")))
+    if spec.workload == "nas_is" and died < deaths:
+        while not (marks / "camel-done").exists():
+            time.sleep(0.01)
+        time.sleep(0.2)  # camel's result is back in the parent by now
+        (marks / f"death-{died}").touch()
+        os._exit(1)
+    result = original(spec, **runtime)
+    (marks / f"{spec.workload}-done").touch()
+    return result
+
+
+batch_module.run_simulation = dying
+specs = [
+    {"workload": w, "technique": "ooo", "max_instructions": 800}
+    for w in ("camel", "nas_is")
+]
+results = run_batch(specs, jobs=2, retries=2)
+print(json.dumps({
+    "failures": [failure.to_dict() for failure in batch_failures(results)],
+    "retries": BATCH_COUNTERS.get("batch.retries"),
+    "runs": (marks / "runs.log").read_text().split(),
+}))
+"""
+
+
+def _batch_with_worker_deaths(tmp_path, deaths):
+    """Run the worker-death batch out of process: a pool that loses a
+    task hangs rather than fails, so the timeout is the test's guard."""
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER_DEATH_SCRIPT, str(tmp_path), str(deaths)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
 
 class TestRetry:
-    def test_transient_pool_death_is_retried(self, monkeypatch):
-        calls = {"n": 0}
+    def test_transient_pool_death_is_retried(self, tmp_path):
+        report = _batch_with_worker_deaths(tmp_path, deaths=1)
+        assert report["failures"] == []
+        assert report["retries"] == 1
 
-        def flaky(items, jobs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise OSError("worker died")
-            return [(key, batch_module._execute_spec(spec)) for key, spec in items]
+    def test_retry_reruns_only_unfinished_specs(self, tmp_path):
+        report = _batch_with_worker_deaths(tmp_path, deaths=1)
+        assert report["failures"] == []
+        # camel finished before the death; only nas_is ran again.
+        assert sorted(report["runs"]) == ["camel", "nas_is", "nas_is"]
 
-        monkeypatch.setattr(batch_module, "_run_pool", flaky)
-        monkeypatch.setattr(batch_module.time, "sleep", lambda s: None)
-        results = run_batch([_spec(), _spec("nas_is")], jobs=2)
-        assert calls["n"] == 2
-        assert not batch_failures(results)
-        assert BATCH_COUNTERS.get("batch.retries") == 1
-
-    def test_retry_reruns_only_unfinished_specs(self, monkeypatch):
-        executed = []
-
-        def flaky(items, jobs):
-            def gen():
-                key, spec = items[0]
-                executed.append(key)
-                yield key, batch_module._execute_spec(spec)
-                if len(executed) == 1:
-                    raise OSError("died mid-batch")
-
-            return gen()
-
-        monkeypatch.setattr(batch_module, "_run_pool", flaky)
-        monkeypatch.setattr(batch_module.time, "sleep", lambda s: None)
-        results = run_batch([_spec(), _spec("nas_is")], jobs=2)
-        assert not batch_failures(results)
-        # First attempt finished spec 0 then died; the retry ran only spec 1.
-        assert len(executed) == 2
-        assert executed[0] != executed[1]
-
-    def test_exhausted_retries_become_failures_not_hangs(self, monkeypatch):
-        def always_dead(items, jobs):
-            raise OSError("pool is cursed")
-
-        monkeypatch.setattr(batch_module, "_run_pool", always_dead)
-        monkeypatch.setattr(batch_module.time, "sleep", lambda s: None)
-        results = run_batch([_spec(), _spec("nas_is")], jobs=2, retries=2)
-        assert len(batch_failures(results)) == 2
-        failure = results[0]
-        assert failure.error_type == "OSError"
-        assert failure.attempts == 3  # initial + 2 retries
-        assert "giving up" in failure.message
-        assert BATCH_COUNTERS.get("batch.retries") == 2
+    def test_exhausted_retries_become_failures_not_hangs(self, tmp_path):
+        report = _batch_with_worker_deaths(tmp_path, deaths=99)
+        [failure] = report["failures"]
+        assert failure["spec"]["workload"] == "nas_is"
+        assert failure["error_type"] == "WorkerDeath"
+        assert failure["attempts"] == 3  # initial + 2 retries
+        assert "giving up" in failure["message"]
+        assert report["retries"] == 2
+        assert sorted(report["runs"]) == ["camel"] + ["nas_is"] * 3
 
 
 class TestDedup:

@@ -13,6 +13,7 @@ The load-bearing guarantees under test:
 """
 
 import json
+import os
 import pathlib
 import threading
 import time
@@ -32,6 +33,7 @@ from repro.experiments import (
     run_load_test,
     run_simulation,
 )
+from repro.experiments import batch as batch_module
 from repro.experiments.serve import (
     SERVE_COUNTER_NAMES,
     _dump,
@@ -158,6 +160,141 @@ class TestFailureDocuments:
         assert status == 400
         assert json.loads(body)["schema"] == "repro.batch-result/1"
         assert health["status"] == "ok"
+
+
+def _patch_worker(monkeypatch, marks, deaths, gate=None):
+    """Patch the pool's runner (forked workers inherit it): the first
+    ``deaths`` attempts ``os._exit`` once ``gate`` (if given) exists."""
+    original = batch_module.run_simulation
+
+    def dying(spec, **runtime):
+        died = len(list(marks.glob("death-*")))
+        if died < deaths:
+            deadline = time.monotonic() + 30.0
+            while gate is not None and not gate.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            (marks / f"death-{died}").touch()
+            os._exit(1)
+        return original(spec, **runtime)
+
+    monkeypatch.setattr(batch_module, "run_simulation", dying)
+
+
+def _wait_inflight(address, count):
+    deadline = time.monotonic() + 30.0
+    while _get_json(address, "/healthz")["pool"]["inflight"] < count:
+        assert time.monotonic() < deadline, "requests never reached the pool"
+        time.sleep(0.01)
+
+
+class TestWorkerDeath:
+    """A pool worker that dies mid-request (an OOM kill, say)."""
+
+    def test_one_death_is_retried_on_a_fresh_pool(self, monkeypatch, tmp_path):
+        _patch_worker(monkeypatch, tmp_path, deaths=1)
+        spec = _spec()
+        with ServerThread(pool_size=1) as server:
+            status, served, body = _post_run(server.address, _dump(spec.to_payload()), 60)
+            health = _get_json(server.address, "/healthz")
+        assert (status, served) == (200, "miss")
+        assert body == _dump(stats_payload(run_simulation(spec)))
+        assert health["counters"]["serve.failures"] == 0
+        assert health["conservation"]["passed"]
+        assert BATCH_COUNTERS.get("batch.retries") == 1
+
+    def test_one_death_under_two_flights_replaces_the_pool_once(
+        self, monkeypatch, tmp_path
+    ):
+        gate = tmp_path / "die-now"
+        _patch_worker(monkeypatch, tmp_path, deaths=1, gate=gate)
+        specs = [_spec(), _spec(1)]
+        responses = {}
+
+        def post(index):
+            responses[index] = _post_run(
+                server.address, _dump(specs[index].to_payload()), 60
+            )
+
+        with ServerThread(pool_size=1) as server:
+            clients = [threading.Thread(target=post, args=(i,)) for i in range(2)]
+            for client in clients:
+                client.start()
+            # Both flights sit in the one-worker pool when its worker
+            # dies, so both see the same break.
+            _wait_inflight(server.address, 2)
+            gate.touch()
+            for client in clients:
+                client.join(60)
+            health = _get_json(server.address, "/healthz")
+        for index, spec in enumerate(specs):
+            status, served, body = responses[index]
+            assert (status, served) == (200, "miss")
+            assert body == _dump(stats_payload(run_simulation(spec)))
+        assert BATCH_COUNTERS.get("batch.retries") == 1
+        assert health["counters"]["serve.failures"] == 0
+        assert health["counters"]["serve.inflight"] == 0
+
+    def test_a_worker_that_always_dies_is_a_worker_death(self, monkeypatch, tmp_path):
+        _patch_worker(monkeypatch, tmp_path, deaths=3)
+        with ServerThread(pool_size=1) as server:
+            status, served, body = _post_run(
+                server.address, _dump(_spec().to_payload()), 60
+            )
+            failure = json.loads(body)["failure"]
+            assert (status, served) == (422, "miss")
+            assert failure["error_type"] == "WorkerDeath"
+            assert failure["attempts"] == 3  # first try + the pool's 2 retries
+            # The pool was rebuilt: the next request is answered.
+            status, served, _body = _post_run(
+                server.address, _dump(_spec(1).to_payload()), 60
+            )
+            health = _get_json(server.address, "/healthz")
+        assert (status, served) == (200, "miss")
+        assert health["status"] == "ok"
+        assert health["counters"]["serve.failures"] == 1
+        assert health["counters"]["serve.inflight"] == 0
+
+    def test_cancelled_flight_answers_waiters_and_is_dropped(
+        self, monkeypatch, tmp_path
+    ):
+        gate = tmp_path / "release"
+        original = batch_module.run_simulation
+
+        def gated(spec, **runtime):
+            deadline = time.monotonic() + 30.0
+            while not gate.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return original(spec, **runtime)
+
+        monkeypatch.setattr(batch_module, "run_simulation", gated)
+        body = _dump(_spec().to_payload())
+        first = []
+        runner = ServerThread(pool_size=1)
+        try:
+            with runner as server:
+                client = threading.Thread(
+                    target=lambda: first.append(_post_run(server.address, body, 60))
+                )
+                client.start()
+                _wait_inflight(server.address, 1)
+                runner._loop.call_soon_threadsafe(
+                    lambda: [task.cancel() for task in list(server._tasks)]
+                )
+                client.join(60)
+                health = _get_json(server.address, "/healthz")
+                gate.touch()
+                # A later identical request starts a new flight rather
+                # than coalescing onto the cancelled one.
+                again = _post_run(server.address, body, 60)
+        finally:
+            gate.touch()
+        status, served, answer = first[0]
+        assert (status, served) == (422, "miss")
+        assert json.loads(answer)["failure"]["error_type"] == "CancelledError"
+        assert health["counters"]["serve.inflight"] == 0
+        assert health["counters"]["serve.failures"] == 1
+        assert health["conservation"]["passed"]
+        assert again[:2] == (200, "miss")
 
 
 class TestAuditRequests:
